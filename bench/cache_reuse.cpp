@@ -51,6 +51,9 @@ namespace {
 struct ProblemRow {
   int id = 0;
   std::string name;
+  /// Cold symbolic cost: a direct median of fresh Planner::plan_cholesky
+  /// runs (key hashing included, as on a facade cache miss) — never a
+  /// difference of two measurements.
   double sym_cold = 0.0;
   double sym_warm = 0.0;
   double numeric = 0.0;
@@ -72,15 +75,13 @@ struct ProblemRow {
   /// Restart warm-start tier (core/plan_store.h): seconds to deserialize
   /// the persisted plan from disk AND re-verify it before publication —
   /// the full symbolic cost a post-restart solve pays in place of cold
-  /// planning. `plan_cold` is the matching denominator: a direct median
-  /// of full cold Planner runs (stabler than the subtraction-based
-  /// sym_cold). `store_ok` is false when the plan could not be persisted
-  /// (the row then falls out of the restart_warm aggregate).
+  /// planning (`sym_cold` is the matching denominator). `store_ok` is
+  /// false when the plan could not be persisted (the row then falls out
+  /// of the restart_warm aggregate).
   /// `store_profitable` mirrors PlanStore::should_persist — what the
   /// facade's write-behind gate would decide; declined rows are measured
   /// and reported but excluded from the acceptance geomean, since a real
   /// restart replans them by design.
-  double plan_cold = 0.0;
   double store_load = 0.0;
   bool store_ok = false;
   bool store_profitable = false;
@@ -366,9 +367,7 @@ void write_json(const std::vector<ProblemRow>& problems,
                  i + 1 < jit.size() ? "," : "");
   }
   // Suite-level verify overhead: geometric mean of the per-problem
-  // verify-time / cold-planning-time ratios (the <10% budget headline;
-  // tiny problems have noisy subtraction-based sym_cold denominators, so
-  // the aggregate is the stable number to track).
+  // verify-time / cold-planning-time ratios (the <10% budget headline).
   double log_sum = 0.0;
   int pct_rows = 0;
   for (const ProblemRow& p : problems)
@@ -390,19 +389,19 @@ void write_json(const std::vector<ProblemRow>& problems,
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const ProblemRow& p = problems[i];
     const double ratio =
-        p.store_ok && p.plan_cold > 0.0 ? p.store_load / p.plan_cold : 0.0;
+        p.store_ok && p.sym_cold > 0.0 ? p.store_load / p.sym_cold : 0.0;
     std::fprintf(f,
                  "    {\"id\": %d, \"name\": \"%s\", \"cold_plan_s\": %.6e, "
                  "\"store_load_reverify_s\": %.6e, \"mem_warm_s\": %.6e, "
                  "\"persisted\": %s, \"profitable\": %s, "
                  "\"load_over_cold\": %.4f}%s\n",
-                 p.id, p.name.c_str(), p.plan_cold, p.store_load, p.sym_warm,
+                 p.id, p.name.c_str(), p.sym_cold, p.store_load, p.sym_warm,
                  p.store_ok ? "true" : "false",
                  p.store_profitable ? "true" : "false", ratio,
                  i + 1 < problems.size() ? "," : "");
-    if (p.store_ok && p.store_profitable && p.plan_cold > 0.0 &&
+    if (p.store_ok && p.store_profitable && p.sym_cold > 0.0 &&
         p.store_load > 0.0) {
-      store_log_sum += std::log(p.store_load / p.plan_cold);
+      store_log_sum += std::log(p.store_load / p.sym_cold);
       ++store_rows;
     }
   }
@@ -460,9 +459,7 @@ int main(int argc, char** argv) {
 
     // Cold: first factor of this pattern pays inspection + numeric.
     api::Solver cold({}, context);
-    Timer t_cold_total;
     cold.factor(a);
-    const double cold_total = t_cold_total.seconds();
     // Plan size before the jit tier below publishes a kernel into it —
     // the facade's write-behind gate decides on this pre-jit size.
     const std::size_t plan_bytes = cold.plan()->bytes();
@@ -471,10 +468,12 @@ int main(int argc, char** argv) {
     // values below are unchanged, which the executor does not exploit).
     const double t_numeric = bench::bench_seconds([&] { cold.factor(a); });
 
-    // Cold symbolic cost = total minus one numeric pass (the paper's
-    // decoupling makes these phases separable by construction).
-    const double sym_cold = cold_total > t_numeric ? cold_total - t_numeric
-                                                   : 0.0;
+    // Cold symbolic cost, timed directly: the median of fresh Planner
+    // runs on the facade's own configuration, which is exactly what a
+    // cache miss pays before its numeric phase.
+    const core::Planner planner(api::SolverConfig{}.planner_config());
+    const double sym_cold =
+        bench::bench_seconds([&] { (void)planner.plan_cholesky(a); });
 
     // Plan-compiled kernel tier: compile the resident plan explicitly (the
     // facade's kWarm/kAlways modes would do this on their own; driving it
@@ -513,7 +512,6 @@ int main(int argc, char** argv) {
 
     // The warm path's entire symbolic phase: hash the plan key, hit the
     // cache. Timed directly — this is the "inspector time" of a warm solve.
-    const core::Planner planner(api::SolverConfig{}.planner_config());
     const double sym_warm = bench::bench_seconds([&] {
       const core::PatternKey key = planner.cholesky_key(a);
       auto hit = context->cholesky_cache().find(key);
@@ -537,11 +535,8 @@ int main(int argc, char** argv) {
     // Restart warm-start tier: persist the cold plan, then measure what a
     // post-restart miss actually pays — deserialize from the store plus
     // the mandatory pre-publication re-verification — against the cold
-    // planning it replaces and the in-memory warm hit it approximates.
-    // The cold baseline here is a direct median over repeated Planner
-    // runs, not the single-shot subtraction behind `sym_cold`: the ratio
-    // is an acceptance number and needs a stable denominator.
-    double plan_cold = 0.0;
+    // planning it replaces (sym_cold) and the in-memory warm hit it
+    // approximates.
     double store_load = 0.0;
     bool store_ok = false;
     // What the facade's write-behind gate would decide for this plan.
@@ -559,10 +554,6 @@ int main(int argc, char** argv) {
       } else {
         const core::PatternKey key = planner.cholesky_key(a);
         store_ok = true;
-        plan_cold = bench::bench_seconds([&] {
-          const core::Planner fresh(api::SolverConfig{}.planner_config());
-          (void)fresh.plan_cholesky(a);
-        });
         store_load = bench::bench_seconds([&] {
           core::CholeskyPlan loaded;
           if (!store->load(key, &loaded).ok())
@@ -589,8 +580,8 @@ int main(int argc, char** argv) {
     rows.push_back({spec.id, spec.paper_name, sym_cold, sym_warm, t_numeric,
                     numeric_jit, jit_compile, jit_compiled,
                     cold.plan()->evidence.phases, vreport.ok(),
-                    static_cast<int>(vreport.checks), verify_s, plan_cold,
-                    store_load, store_ok, store_profitable});
+                    static_cast<int>(vreport.checks), verify_s, store_load,
+                    store_ok, store_profitable});
   }
   bench::print_rule(131);
   std::printf(
@@ -638,15 +629,15 @@ int main(int argc, char** argv) {
   for (const ProblemRow& p : rows) {
     if (!p.store_ok) {
       std::printf("%2d %-14s | %12.5f %14s %12.6f | %10s\n", p.id,
-                  p.name.c_str(), p.plan_cold, "unpersisted", p.sym_warm, "-");
+                  p.name.c_str(), p.sym_cold, "unpersisted", p.sym_warm, "-");
       continue;
     }
-    const double ratio = p.plan_cold > 0.0 ? p.store_load / p.plan_cold : 0.0;
+    const double ratio = p.sym_cold > 0.0 ? p.store_load / p.sym_cold : 0.0;
     std::printf("%2d %-14s | %12.5f %14.6f %12.6f | %9.3fx%s\n", p.id,
-                p.name.c_str(), p.plan_cold, p.store_load, p.sym_warm, ratio,
+                p.name.c_str(), p.sym_cold, p.store_load, p.sym_warm, ratio,
                 p.store_profitable ? "" : " (declined)");
-    if (p.store_profitable && p.plan_cold > 0.0 && p.store_load > 0.0)
-      store_over_cold.push_back(p.store_load / p.plan_cold);
+    if (p.store_profitable && p.sym_cold > 0.0 && p.store_load > 0.0)
+      store_over_cold.push_back(p.store_load / p.sym_cold);
   }
   bench::print_rule(92);
   if (!store_over_cold.empty())

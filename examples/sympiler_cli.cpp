@@ -62,7 +62,7 @@ int run_verify(const CscMatrix& a, core::SympilerOptions opt) {
   const verify::Report creport = verify::verify_plan(cplan, vo);
   std::printf("cholesky %s\n", creport.to_string().c_str());
 
-  const CscMatrix& l = cplan.sets.sym.l_pattern;
+  const CscMatrix l = cplan.sets.pattern_of_l();
   std::vector<index_t> beta(static_cast<std::size_t>(l.cols()));
   for (index_t j = 0; j < l.cols(); ++j) beta[j] = j;
   const core::TriSolvePlan tplan = planner.plan_trisolve(l, beta);
@@ -166,7 +166,7 @@ int run_verify_corpus(const CscMatrix& a, const core::SympilerOptions& opt) {
   chol.emplace_back("chol/parallel-flat", parallel_cholesky_plan(a, false));
   chol.emplace_back("chol/coarsened", parallel_cholesky_plan(a, true));
 
-  const CscMatrix& l = chol[1].second.sets.sym.l_pattern;
+  const CscMatrix l = chol[1].second.sets.pattern_of_l();
   const std::vector<index_t> sparse_beta = {0};
   std::vector<index_t> full_beta(static_cast<std::size_t>(l.cols()));
   std::iota(full_beta.begin(), full_beta.end(), 0);

@@ -207,7 +207,7 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
   core::CholeskyCache::Lookup lookup;
   if (config_.options.plan_store_dir.empty()) {
     lookup = context_->cholesky_cache().get_or_build(
-        key, [&] { return planner.plan_cholesky(a_lower); });
+        key, [&] { return planner.plan_cholesky(a_lower, key); });
   } else {
     // Persistence tier (core/plan_store.h, docs/persistence.md): on a
     // cache miss, try the on-disk store before replanning. Every loaded
@@ -240,7 +240,7 @@ void Solver::prepare_symbolic(const CscMatrix& a_lower) {
           return std::make_shared<const core::CholeskyPlan>(
               std::move(from_disk));
         },
-        [&] { return planner.plan_cholesky(a_lower); },
+        [&] { return planner.plan_cholesky(a_lower, key); },
         [&](const std::shared_ptr<const core::CholeskyPlan>& built) {
           // Write-behind, gated: plans whose estimated load cost exceeds
           // half their measured build time are cheaper to replan after a
@@ -393,7 +393,7 @@ std::shared_ptr<const core::TriSolvePlan> lookup_trisolve_plan(
   core::TriSolveCache::Lookup lookup;
   if (config.options.plan_store_dir.empty()) {
     lookup = context.trisolve_cache().get_or_build(
-        key, [&] { return planner.plan_trisolve(l, beta); });
+        key, [&] { return planner.plan_trisolve(l, beta, nullptr, key); });
   } else {
     // Same persistence tier as Solver::prepare_symbolic: load + mandatory
     // re-verification on a cache miss, rung-5 discard/replan/rewrite on a
@@ -423,7 +423,7 @@ std::shared_ptr<const core::TriSolvePlan> lookup_trisolve_plan(
           return std::make_shared<const core::TriSolvePlan>(
               std::move(from_disk));
         },
-        [&] { return planner.plan_trisolve(l, beta); },
+        [&] { return planner.plan_trisolve(l, beta, nullptr, key); },
         [&](const std::shared_ptr<const core::TriSolvePlan>& built) {
           // Same profitability gate as the Cholesky write-behind.
           store->save_async_if_profitable(built);

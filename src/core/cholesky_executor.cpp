@@ -50,7 +50,12 @@ CholeskyExecutor::CholeskyExecutor(std::shared_ptr<const CholeskyPlan> plan)
     panels_.resize(static_cast<std::size_t>(sets_->layout.total_values()));
     dims.need_dense = false;  // dense column is simplicial-only scratch
   } else {
-    l_ = sets_->sym.l_pattern;  // simplicial factor storage
+    // Simplicial factor storage: values only; the pattern stays in the
+    // shared plan.
+    SYMPILER_CHECK(sets_->sym.l_pattern.cols() ==
+                       static_cast<index_t>(sets_->sym.parent.size()),
+                   "cholesky executor: simplicial plan carries no pattern");
+    lx_.resize(static_cast<std::size_t>(sets_->sym.l_pattern.nnz()));
   }
   ws_.ensure(dims);
 }
@@ -71,7 +76,7 @@ void CholeskyExecutor::factorize(const CscMatrix& a_lower) {
       throw numerical_error(
           "cholesky: injected pivot failure (fault site pivot, jit path)");
     const auto fn = kernel->entry<PlanCholeskyFn>();
-    value_t* values = vs_block_applied() ? panels_.data() : l_.values.data();
+    value_t* values = vs_block_applied() ? panels_.data() : lx_.data();
     value_t* scratch =
         vs_block_applied() ? ws_.update().data() : ws_.dense().data();
     if (fn(a_lower.colptr.data(), a_lower.rowind.data(),
@@ -182,7 +187,10 @@ void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
   // VI-Prune-only path: Figure 4 with the update iteration space pruned by
   // the precomputed row patterns. No transpose, no ereach. The dense
   // accumulation column and the per-row cursors are plan-sized workspace.
-  const index_t n = l_.cols();
+  const CscMatrix& lp = sets_->sym.l_pattern;
+  const index_t n = lp.cols();
+  const index_t* li = lp.rowind.data();
+  value_t* lx = lx_.data();
   value_t* f = ws_.dense().data();
   index_t* next = ws_.map().data();
   std::fill(f, f + n, 0.0);
@@ -197,9 +205,8 @@ void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
     for (index_t q = sets_->rowpat_ptr[j]; q < sets_->rowpat_ptr[j + 1]; ++q) {
       const index_t k = rowpat[q];
       const index_t pj = next[k];
-      const value_t lkj = l_.values[pj];
-      for (index_t p = pj; p < l_.col_end(k); ++p)
-        f[l_.rowind[p]] -= l_.values[p] * lkj;
+      const value_t lkj = lx[pj];
+      for (index_t p = pj; p < lp.col_end(k); ++p) f[li[p]] -= lx[p] * lkj;
       next[k] = pj + 1;
     }
     const value_t d = f[j];
@@ -211,13 +218,13 @@ void CholeskyExecutor::factorize_simplicial(const CscMatrix& a_lower) {
       throw numerical_error(
           "cholesky: non-positive pivot at column " + std::to_string(j), j, d);
     const value_t ljj = std::sqrt(d);
-    const index_t pdiag = l_.col_begin(j);
-    l_.values[pdiag] = ljj;
+    const index_t pdiag = lp.col_begin(j);
+    lx[pdiag] = ljj;
     f[j] = 0.0;
     const value_t inv = 1.0 / ljj;
-    for (index_t p = pdiag + 1; p < l_.col_end(j); ++p) {
-      const index_t i = l_.rowind[p];
-      l_.values[p] = f[i] * inv;
+    for (index_t p = pdiag + 1; p < lp.col_end(j); ++p) {
+      const index_t i = li[p];
+      lx[p] = f[i] * inv;
       f[i] = 0.0;
     }
     next[j] = pdiag + 1;
@@ -233,8 +240,8 @@ void CholeskyExecutor::solve(std::span<value_t> bx) const {
     panel_forward_solve(sets_->layout, panels_, bx, ws_.tail());
     panel_backward_solve(sets_->layout, panels_, bx, ws_.tail());
   } else {
-    solvers::trisolve_naive(l_, bx);
-    solvers::trisolve_transpose(l_, bx);
+    solvers::trisolve_naive(sets_->sym.l_pattern, lx_, bx);
+    solvers::trisolve_transpose(sets_->sym.l_pattern, lx_, bx);
   }
 }
 
@@ -262,7 +269,9 @@ CscMatrix CholeskyExecutor::factor_csc() const {
   SYMPILER_CHECK(factorized_, "factor_csc() before factorize()");
   if (vs_block_applied())
     return panels_to_csc(sets_->layout, panels_);
-  return l_;
+  CscMatrix l = sets_->pattern_of_l();
+  l.values = lx_;
+  return l;
 }
 
 }  // namespace sympiler::core

@@ -60,7 +60,8 @@ class CholeskyExecutor {
   /// parallel over blocks under OpenMP); the simplicial path loops.
   void solve_batch(std::span<value_t> bx, index_t nrhs) const;
 
-  /// Extract L as CSC (for inspection and the triangular-solve pipeline).
+  /// Extract L as CSC (for inspection and the triangular-solve pipeline),
+  /// assembled from the plan's structure and the executor's values.
   [[nodiscard]] CscMatrix factor_csc() const;
 
   [[nodiscard]] const CholeskyPlan& plan() const { return *plan_; }
@@ -84,7 +85,9 @@ class CholeskyExecutor {
   const CholeskySets* sets_ = nullptr;        ///< &plan_->sets
   bool specialized_ = false;
   std::vector<value_t> panels_;  ///< supernodal factor storage
-  CscMatrix l_;                  ///< simplicial factor storage
+  /// Simplicial factor values, laid out on the plan's pattern of L
+  /// (sets_->sym.l_pattern, read in place — never copied).
+  std::vector<value_t> lx_;
   /// Plan-sized numeric scratch (update tiles, scatter map, solve tails);
   /// mutable because solve() is logically const but borrows it.
   mutable Workspace ws_;

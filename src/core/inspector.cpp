@@ -174,6 +174,14 @@ TriSolveSets inspect_trisolve_dense_rhs(const CscMatrix& l,
   return inspect_trisolve(l, beta, opt);
 }
 
+CscMatrix CholeskySets::pattern_of_l() const {
+  if (sym.l_pattern.colptr.empty()) return solvers::layout_pattern(layout);
+  CscMatrix l(sym.l_pattern.rows(), sym.l_pattern.cols());
+  l.colptr = sym.l_pattern.colptr;
+  l.rowind = sym.l_pattern.rowind;
+  return l;
+}
+
 CholeskySets inspect_cholesky(const CscMatrix& a_lower,
                               const SympilerOptions& opt) {
   CholeskyPlanProducts products;  // no schedule requested: stays empty
@@ -210,6 +218,13 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     Timer t_cc;
     const std::vector<index_t> post = postorder(sets.sym.parent);
     sets.sym.colcount = cholesky_counts(a_lower, sets.sym.parent, post);
+    // nnz(L) in 64 bits before anything |L|-sized exists: a factor whose
+    // fill overflows index_t fails here with kResourceExhausted.
+    sets.sym.fill_nnz = checked_fill_nnz(sets.sym.colcount);
+    for (index_t j = 0; j < n; ++j) {
+      const double c = sets.sym.colcount[j];
+      sets.sym.flops += c * c;
+    }
     ph.counts = t_cc.seconds();
   }
 
@@ -235,32 +250,34 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
   const bool want_simplicial = !req.gate_products || !sets.vs_block_profitable;
   const bool want_supernodal = !req.gate_products || sets.vs_block_profitable;
 
-  // --- pattern of L: one fused sweep into exact-presized arrays -----------
+  // --- structure of L, each fact once -----------------------------------
+  // The simplicial path reads the column pattern (its executor owns the
+  // values); the supernodal path reads only the layout's row lists, filled
+  // straight from the shared transpose without the column pattern. The
+  // ungated contract builds both, with the pattern's zero value array.
+  // The naive reference fills the whole pattern and copies the layout out
+  // of it, then drops what the gated fast plan does not carry — so the
+  // equivalence tests pin the direct fill against the copy-out.
   std::vector<index_t> row_offdiag;  // rowpat histogram, free from the sweep
-  if (!req.naive) {
+  {
     Timer t_pat;
-    sets.sym.l_pattern = cholesky_fill_pattern(
-        upper, sets.sym.parent, sets.sym.colcount,
-        /*with_values=*/want_simplicial,
-        want_simplicial ? &row_offdiag : nullptr);
-    sets.sym.fill_nnz = sets.sym.l_pattern.colptr[n];
-    for (index_t j = 0; j < n; ++j) {
-      const double c = sets.sym.colcount[j];
-      sets.sym.flops += c * c;
-    }
+    if (!req.naive && want_simplicial)
+      sets.sym.l_pattern = cholesky_fill_pattern(
+          upper, sets.sym.parent, sets.sym.colcount,
+          /*with_values=*/!req.gate_products, &row_offdiag);
+    if (want_supernodal)
+      sets.layout = req.naive ? solvers::SupernodalLayout::build(
+                                    sets.sym, sets.blocks)
+                              : solvers::SupernodalLayout::build(
+                                    upper, sets.sym, sets.blocks);
     ph.pattern += t_pat.seconds();
-  } else if (!want_simplicial) {
-    // Match the gated fast plan bit for bit: supernodal plans carry no
-    // |L|-sized zero value array.
-    sets.sym.l_pattern.values = {};
   }
 
   // --- assembly: independent products over the shared symbolic factor ----
-  // rowpat (simplicial prune-sets), layout -> updates (supernodal), and
-  // schedule -> slot map (parallel gates) have no cross-dependencies
-  // beyond layout, so they run as tasks; every product is a deterministic
-  // pattern function, so the assembly is bit-reproducible regardless of
-  // which thread builds what.
+  // rowpat (simplicial prune-sets), updates (supernodal), and schedule ->
+  // slot map (parallel gates) have no cross-dependencies, so they run as
+  // tasks; every product is a deterministic pattern function, so the
+  // assembly is bit-reproducible regardless of which thread builds what.
   Timer t_asm;
   const auto build_rowpat = [&] {
     // Simplicial prune-sets: the row pattern of L row-by-row — a
@@ -285,9 +302,6 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     for (index_t j = 0; j < n; ++j)
       for (index_t p = lp.col_begin(j) + 1; p < lp.col_end(j); ++p)
         sets.rowpat[next[lp.rowind[p]]++] = j;
-  };
-  const auto build_layout = [&] {
-    sets.layout = solvers::SupernodalLayout::build(sets.sym, sets.blocks);
   };
   const auto build_updates = [&] {
     sets.updates = solvers::compute_update_lists(sets.layout);
@@ -330,16 +344,15 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
         }
       }
       if (want_supernodal) {
-        try {
-          build_layout();  // critical path: updates + slot map read it
 #pragma omp task shared(sets, errors)
-          {
-            try {
-              build_updates();
-            } catch (...) {
-              errors[1] = std::current_exception();
-            }
+        {
+          try {
+            build_updates();
+          } catch (...) {
+            errors[1] = std::current_exception();
           }
+        }
+        try {
           build_schedule();
         } catch (...) {
           errors[2] = std::current_exception();
@@ -352,7 +365,6 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
     // Reference pipeline: strictly serial, fixed order.
     if (want_simplicial) build_rowpat();
     if (want_supernodal) {
-      build_layout();
       build_updates();
       build_schedule();
     }
@@ -360,11 +372,18 @@ CholeskySets inspect_cholesky_planned(const CscMatrix& a_lower,
 #else
   if (want_simplicial) build_rowpat();
   if (want_supernodal) {
-    build_layout();
     build_updates();
     build_schedule();
   }
 #endif
+  if (req.naive && req.gate_products) {
+    // Match the gated fast plan bit for bit: no column pattern on the
+    // supernodal path, no |L|-sized zero value array on the simplicial one.
+    if (want_simplicial)
+      sets.sym.l_pattern.values = {};
+    else
+      sets.sym.l_pattern = CscMatrix{};
+  }
   if (products.committed && req.coarsen) {
     // Coarsening reads the update lists, which may still be under
     // construction while build_schedule runs as a task sibling — so it

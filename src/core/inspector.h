@@ -44,8 +44,8 @@ struct PlanPhaseTimes {
   double transpose = 0.0;  ///< the one shared transpose(A)
   double etree = 0.0;      ///< elimination tree (Liu, from the upper view)
   double counts = 0.0;     ///< postorder + GNP skeleton column counts
-  double pattern = 0.0;    ///< fused single-sweep pattern fill
-  double assemble = 0.0;   ///< layout/updates/rowpat region wall time
+  double pattern = 0.0;    ///< structure fill: column pattern or layout
+  double assemble = 0.0;   ///< updates/rowpat/schedule region wall time
   double schedule = 0.0;   ///< supernode level schedule (parallel gate)
   double slotmap = 0.0;    ///< privatized update-slot map (parallel gate)
   double verify = 0.0;     ///< static plan verification (verify/verify.h)
@@ -100,7 +100,7 @@ struct TriSolveSets {
 
 /// Inspection sets for sparse Cholesky A = L L^T.
 struct CholeskySets {
-  SymbolicFactor sym;                 ///< etree, colcounts, pattern of L
+  SymbolicFactor sym;                 ///< etree, colcounts, [pattern of L]
   SupernodePartition blocks;          ///< fundamental supernodes
   solvers::SupernodalLayout layout;   ///< panel layout of the factor
   solvers::UpdateLists updates;       ///< static update schedule (decoupled)
@@ -113,6 +113,10 @@ struct CholeskySets {
   bool vs_block_profitable = false;
   [[nodiscard]] double flops() const { return sym.flops; }
 
+  /// The column pattern of L (no values) from whichever copy the sets
+  /// hold: sym.l_pattern when present, else spelled out from the layout.
+  [[nodiscard]] CscMatrix pattern_of_l() const;
+
   /// Heap bytes of the inspection sets (plan-size accounting).
   [[nodiscard]] std::size_t bytes() const {
     return sym.bytes() + blocks.bytes() + layout.bytes() + updates.bytes() +
@@ -121,20 +125,21 @@ struct CholeskySets {
 };
 
 /// Run the Cholesky inspector on the pattern of A (lower triangle).
-/// Builds every inspection set (pattern with values, rowpat, layout,
-/// updates) — the ungated contract direct callers (executor convenience
-/// constructors, tests) rely on. The Planner goes through
-/// inspect_cholesky_planned instead.
+/// Builds every inspection set (pattern with zero values, rowpat, layout,
+/// updates) — the ungated contract direct callers (codegen, tests) rely
+/// on. The Planner goes through inspect_cholesky_planned instead.
 [[nodiscard]] CholeskySets inspect_cholesky(const CscMatrix& a_lower,
                                             const SympilerOptions& opt = {});
 
 /// What plan_cholesky asks the inspector for beyond the plain sets.
 struct CholeskyPlanRequest {
-  /// Build only the sets the profitability-chosen path will consume:
-  /// simplicial plans get rowpat + L values and skip layout/updates;
-  /// supernodal plans get layout/updates and skip rowpat + the |L|-sized
-  /// zero value array. The gate decision (colcount + block-set) is made
-  /// before the pattern fill, so skipped products cost nothing.
+  /// Build only the sets the profitability-chosen path will consume,
+  /// holding each piece of L's structure once: simplicial plans get the
+  /// column pattern of L (no values — the executor owns those) + rowpat
+  /// and skip layout/updates; supernodal plans get layout/updates, whose
+  /// row lists are filled without ever materializing the column pattern,
+  /// and skip rowpat. The gate decision (colcount + block-set) is made
+  /// before any fill, so skipped products cost nothing.
   bool gate_products = false;
   /// Build the supernode level schedule — and, if the width gate passes,
   /// the forward-solve slot map — inside the same assembly region.
@@ -164,10 +169,12 @@ struct CholeskyPlanProducts {
 
 /// Planner entry point: the near-linear cold pipeline. One shared
 /// transpose(A) threads through the etree, the GNP column counts, and the
-/// fused pattern sweep; the independent assembly products (rowpat,
-/// layout -> updates, schedule -> slot map) run as OpenMP tasks over the
-/// shared symbolic factor. Product content is identical to the serial
-/// naive pipeline on every build — only wall time differs.
+/// structure fill (the fused column sweep, or the supernodal row-list
+/// fill); the independent assembly products (rowpat, updates, schedule ->
+/// slot map) run as OpenMP tasks over the shared symbolic factor. Product
+/// content is identical to the serial naive pipeline on every build —
+/// only wall time differs. Throws resource_exhausted_error when nnz(L)
+/// does not fit index_t, before anything |L|-sized is allocated.
 [[nodiscard]] CholeskySets inspect_cholesky_planned(
     const CscMatrix& a_lower, const SympilerOptions& opt,
     const CholeskyPlanRequest& req, CholeskyPlanProducts& products,

@@ -34,7 +34,7 @@ constexpr std::size_t kTableCrcSize = 8;
 
 enum SectionId : std::uint32_t {
   kSecMeta = 1,      ///< options, path, evidence, workspace, set scalars
-  kSecSymbolic = 2,  ///< Cholesky: etree, colcounts, L pattern
+  kSecSymbolic = 2,  ///< Cholesky: etree, colcounts, [L pattern]
   kSecBlocks = 3,    ///< supernode partition (+ layout for Cholesky)
   kSecUpdates = 4,   ///< Cholesky: static update schedule
   kSecRowpat = 5,    ///< Cholesky: simplicial row patterns
@@ -266,28 +266,24 @@ void get_workspace(Reader& r, WorkspaceDims* d) {
   d->need_dense = r.scalar<std::uint8_t>("ws.need_dense") != 0;
 }
 
-void put_csc(Writer& w, const CscMatrix& m) {
+/// A plan's pattern of L: shape, colptr, rowind — never values (plans
+/// are pattern-only). Supernodal plans write the empty 0x0 pattern.
+void put_pattern(Writer& w, const CscMatrix& m) {
   w.scalar<index_t>(m.rows());
   w.scalar<index_t>(m.cols());
   w.vec(m.colptr);
   w.vec(m.rowind);
-  w.scalar<std::uint8_t>(!m.values.empty());
-  if (!m.values.empty()) w.vec(m.values);
 }
 
-void get_csc(Reader& r, CscMatrix* out) {
-  const auto nrows = r.scalar<index_t>("csc.nrows");
-  const auto ncols = r.scalar<index_t>("csc.ncols");
+void get_pattern(Reader& r, CscMatrix* out) {
+  const auto nrows = r.scalar<index_t>("pattern.nrows");
+  const auto ncols = r.scalar<index_t>("pattern.ncols");
   if (nrows < 0 || ncols < 0)
-    corrupt("csc: negative shape " + std::to_string(nrows) + "x" +
+    corrupt("pattern: negative shape " + std::to_string(nrows) + "x" +
             std::to_string(ncols));
   CscMatrix m(nrows, ncols);
-  r.vec(&m.colptr, "csc.colptr");
-  r.vec(&m.rowind, "csc.rowind");
-  if (r.scalar<std::uint8_t>("csc.has_values") != 0)
-    r.vec(&m.values, "csc.values");
-  else
-    m.values.clear();
+  r.vec(&m.colptr, "pattern.colptr");
+  r.vec(&m.rowind, "pattern.rowind");
   *out = std::move(m);
 }
 
@@ -526,7 +522,7 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   Writer sym;
   sym.vec(plan.sets.sym.parent);
   sym.vec(plan.sets.sym.colcount);
-  put_csc(sym, plan.sets.sym.l_pattern);
+  put_pattern(sym, plan.sets.sym.l_pattern);
   sections.emplace_back(kSecSymbolic, sym.take());
 
   Writer blocks;
@@ -534,8 +530,6 @@ std::vector<std::uint8_t> serialize_plan(const CholeskyPlan& plan) {
   blocks.vec(plan.sets.blocks.col_to_super);
   blocks.vec(plan.sets.layout.sn.start);
   blocks.vec(plan.sets.layout.sn.col_to_super);
-  blocks.vec(plan.sets.layout.parent);
-  blocks.vec(plan.sets.layout.colcount);
   blocks.vec(plan.sets.layout.srow_ptr);
   blocks.vec(plan.sets.layout.srows);
   blocks.vec(plan.sets.layout.panel_ptr);
@@ -612,7 +606,7 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     Reader sym = section_reader(sections, kSecSymbolic, "symbolic");
     sym.vec(&plan.sets.sym.parent, "parent");
     sym.vec(&plan.sets.sym.colcount, "colcount");
-    get_csc(sym, &plan.sets.sym.l_pattern);
+    get_pattern(sym, &plan.sets.sym.l_pattern);
     sym.expect_done();
 
     Reader blocks = section_reader(sections, kSecBlocks, "blocks");
@@ -620,8 +614,6 @@ Status deserialize_plan(std::span<const std::uint8_t> bytes,
     blocks.vec(&plan.sets.blocks.col_to_super, "blocks.col_to_super");
     blocks.vec(&plan.sets.layout.sn.start, "layout.sn.start");
     blocks.vec(&plan.sets.layout.sn.col_to_super, "layout.sn.col_to_super");
-    blocks.vec(&plan.sets.layout.parent, "layout.parent");
-    blocks.vec(&plan.sets.layout.colcount, "layout.colcount");
     blocks.vec(&plan.sets.layout.srow_ptr, "layout.srow_ptr");
     blocks.vec(&plan.sets.layout.srows, "layout.srows");
     blocks.vec(&plan.sets.layout.panel_ptr, "layout.panel_ptr");

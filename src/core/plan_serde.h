@@ -37,7 +37,10 @@
 namespace sympiler::core {
 
 /// Bumped on any layout change; a mismatch loads as kStalePlanVersion.
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+/// Version 2: plans are pattern-only and hold L's structure once — the
+/// symbolic section carries L's column pattern (no values) on simplicial
+/// plans only, and the layout carries no etree or column counts.
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
 /// Serialize a plan into its flat file image (header + section table +
 /// sections). Pure function of the plan; never fails.

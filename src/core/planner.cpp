@@ -156,19 +156,28 @@ PatternKey Planner::trisolve_key(const CscMatrix& l,
 
 CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower,
                                     bool with_key) const {
-  return plan_cholesky_impl(a_lower, with_key, /*naive=*/false);
+  return plan_cholesky_impl(a_lower, nullptr, with_key, /*naive=*/false);
+}
+
+CholeskyPlan Planner::plan_cholesky(const CscMatrix& a_lower,
+                                    const PatternKey& key) const {
+  return plan_cholesky_impl(a_lower, &key, false, /*naive=*/false);
 }
 
 CholeskyPlan Planner::plan_cholesky_naive(const CscMatrix& a_lower,
                                           bool with_key) const {
-  return plan_cholesky_impl(a_lower, with_key, /*naive=*/true);
+  return plan_cholesky_impl(a_lower, nullptr, with_key, /*naive=*/true);
 }
 
 CholeskyPlan Planner::plan_cholesky_impl(const CscMatrix& a_lower,
-                                         bool with_key, bool naive) const {
+                                         const PatternKey* key, bool hash_key,
+                                         bool naive) const {
   Timer timer;
   CholeskyPlan plan;
-  if (with_key) plan.key = cholesky_key(a_lower);
+  if (key != nullptr)
+    plan.key = *key;
+  else if (hash_key)
+    plan.key = cholesky_key(a_lower);
   plan.options = config_.options;
 
   // The inspector runs the whole cold pipeline: one shared transpose, GNP
@@ -240,9 +249,26 @@ TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
                                     std::span<const index_t> beta,
                                     const SupernodePartition* known_blocks,
                                     bool with_key) const {
+  return plan_trisolve_impl(l, beta, known_blocks, nullptr, with_key);
+}
+
+TriSolvePlan Planner::plan_trisolve(const CscMatrix& l,
+                                    std::span<const index_t> beta,
+                                    const SupernodePartition* known_blocks,
+                                    const PatternKey& key) const {
+  return plan_trisolve_impl(l, beta, known_blocks, &key, false);
+}
+
+TriSolvePlan Planner::plan_trisolve_impl(
+    const CscMatrix& l, std::span<const index_t> beta,
+    const SupernodePartition* known_blocks, const PatternKey* key,
+    bool hash_key) const {
   Timer timer;
   TriSolvePlan plan;
-  if (with_key) plan.key = trisolve_key(l, beta);
+  if (key != nullptr)
+    plan.key = *key;
+  else if (hash_key)
+    plan.key = trisolve_key(l, beta);
   plan.options = config_.options;
   plan.sets = inspect_trisolve(l, beta, config_.options, known_blocks);
 

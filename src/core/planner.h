@@ -68,6 +68,12 @@ class Planner {
   [[nodiscard]] CholeskyPlan plan_cholesky(const CscMatrix& a_lower,
                                            bool with_key = true) const;
 
+  /// The same, stamping `key` — which must be cholesky_key(a_lower), as
+  /// computed by a caller that already hashed the pattern for its cache
+  /// lookup — so a cache miss hashes the pattern once, not twice.
+  [[nodiscard]] CholeskyPlan plan_cholesky(const CscMatrix& a_lower,
+                                           const PatternKey& key) const;
+
   /// Reference cold planning: the retained naive symbolic pipeline
   /// (count-by-materializing-every-ereach, per-row sorts, private
   /// transposes) with strictly serial assembly. Product-for-product
@@ -90,15 +96,27 @@ class Planner {
       const SupernodePartition* known_blocks = nullptr,
       bool with_key = true) const;
 
+  /// The same, stamping the caller's trisolve_key(l, beta) instead of
+  /// hashing the pattern again.
+  [[nodiscard]] TriSolvePlan plan_trisolve(
+      const CscMatrix& l, std::span<const index_t> beta,
+      const SupernodePartition* known_blocks, const PatternKey& key) const;
+
   /// Whether this build can run the level-set paths in parallel at all
   /// (compile-time: SYMPILER_HAS_OPENMP).
   [[nodiscard]] static bool parallel_enabled();
 
  private:
   [[nodiscard]] std::uint64_t gate_hash() const;
+  /// Stamps `*key` when given, else hashes the key when `hash_key`.
   [[nodiscard]] CholeskyPlan plan_cholesky_impl(const CscMatrix& a_lower,
-                                                bool with_key,
+                                                const PatternKey* key,
+                                                bool hash_key,
                                                 bool naive) const;
+  [[nodiscard]] TriSolvePlan plan_trisolve_impl(
+      const CscMatrix& l, std::span<const index_t> beta,
+      const SupernodePartition* known_blocks, const PatternKey* key,
+      bool hash_key) const;
 
   PlannerConfig config_;
 };

@@ -156,4 +156,52 @@ std::vector<index_t> supernode_etree(const SupernodePartition& sn,
   return sparent;
 }
 
+SupernodeRows supernodal_fill_pattern(const CscMatrix& upper,
+                                      std::span<const index_t> parent,
+                                      std::span<const index_t> colcount,
+                                      const SupernodePartition& sn) {
+  const index_t n = upper.cols();
+  SYMPILER_CHECK(parent.size() == static_cast<std::size_t>(n) &&
+                     colcount.size() == static_cast<std::size_t>(n) &&
+                     sn.valid(n),
+                 "supernodal_fill_pattern: size mismatch");
+  const index_t nsuper = sn.count();
+  SupernodeRows out;
+  out.ptr.assign(static_cast<std::size_t>(nsuper) + 1, 0);
+  for (index_t s = 0; s < nsuper; ++s) {
+    SYMPILER_CHECK(colcount[sn.start[s]] >= sn.width(s),
+                   "supernodal_fill_pattern: supernode shorter than its "
+                   "width");
+    out.ptr[s + 1] = out.ptr[s] + colcount[sn.start[s]];
+  }
+  out.rows.resize(static_cast<std::size_t>(out.ptr[nsuper]));
+  std::vector<index_t> next(static_cast<std::size_t>(nsuper));
+  for (index_t s = 0; s < nsuper; ++s) {
+    index_t q = out.ptr[s];
+    for (index_t j = sn.start[s]; j < sn.start[s + 1]; ++j)
+      out.rows[q++] = j;  // dense diagonal block first
+    next[s] = q;
+  }
+  const std::vector<index_t> sparent = supernode_etree(sn, parent);
+  std::vector<index_t> mark(static_cast<std::size_t>(nsuper), -1);
+  for (index_t i = 0; i < n; ++i) {
+    mark[sn.col_to_super[i]] = i;  // row i is inside its own block
+    for (index_t p = upper.col_begin(i); p < upper.col_end(i); ++p) {
+      for (index_t s = sn.col_to_super[upper.rowind[p]];
+           s != -1 && mark[s] != i; s = sparent[s]) {
+        mark[s] = i;
+        SYMPILER_CHECK(next[s] < out.ptr[s + 1],
+                       "supernodal_fill_pattern: row list overflows its "
+                       "column count (partition not fundamental?)");
+        out.rows[next[s]++] = i;
+      }
+    }
+  }
+  for (index_t s = 0; s < nsuper; ++s)
+    SYMPILER_CHECK(next[s] == out.ptr[s + 1],
+                   "supernodal_fill_pattern: row list shorter than its "
+                   "column count");
+  return out;
+}
+
 }  // namespace sympiler

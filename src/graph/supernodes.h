@@ -77,4 +77,25 @@ struct SupernodeOptions {
 [[nodiscard]] std::vector<index_t> supernode_etree(
     const SupernodePartition& sn, std::span<const index_t> parent);
 
+/// Row lists of the supernodes of L: rows[ptr[s]..ptr[s+1]) is the
+/// pattern of supernode s's first column, ascending — its own columns
+/// (the dense diagonal block) first, then the rows below the block.
+struct SupernodeRows {
+  std::vector<index_t> ptr;   ///< nsuper + 1
+  std::vector<index_t> rows;
+};
+
+/// Fill the row list of every supernode straight from `upper` =
+/// transpose(A lower), without the column pattern of L. Row i of L reaches
+/// the columns on the etree paths from each A(i, j), j < i, up to i; at
+/// supernode granularity that is one climb of the supernodal etree per
+/// entry, stopping at i's own supernode or at one already stamped for i.
+/// Ascending i keeps every list sorted, and each list is presized from
+/// colcount[first column]. O(|A| + |rows|) time, against O(|A| + |L|) for
+/// filling every column. `sn` must be fundamental (supernodes_cholesky
+/// output) for `parent` and `colcount`.
+[[nodiscard]] SupernodeRows supernodal_fill_pattern(
+    const CscMatrix& upper, std::span<const index_t> parent,
+    std::span<const index_t> colcount, const SupernodePartition& sn);
+
 }  // namespace sympiler

@@ -1,6 +1,8 @@
 #include "graph/symbolic.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #ifdef SYMPILER_HAS_OPENMP
 #include <omp.h>
@@ -102,6 +104,18 @@ std::vector<index_t> cholesky_counts(const CscMatrix& a_lower,
   return colcount;
 }
 
+std::int64_t checked_fill_nnz(std::span<const index_t> colcount) {
+  std::int64_t nnz = 0;
+  for (const index_t c : colcount) nnz += c;
+  if (nnz > std::numeric_limits<index_t>::max())
+    throw resource_exhausted_error(
+        "symbolic: nnz(L) = " + std::to_string(nnz) +
+        " exceeds the index type's range (" +
+        std::to_string(std::numeric_limits<index_t>::max()) +
+        "); reorder the matrix to reduce fill");
+  return nnz;
+}
+
 CscMatrix cholesky_fill_pattern(const CscMatrix& upper,
                                 std::span<const index_t> parent,
                                 std::span<const index_t> colcount,
@@ -111,11 +125,11 @@ CscMatrix cholesky_fill_pattern(const CscMatrix& upper,
   SYMPILER_CHECK(parent.size() == static_cast<std::size_t>(n) &&
                      colcount.size() == static_cast<std::size_t>(n),
                  "cholesky_fill_pattern: size mismatch");
+  const auto nnz = static_cast<std::size_t>(checked_fill_nnz(colcount));
   CscMatrix lp(n, n);
   lp.colptr[0] = 0;
   for (index_t j = 0; j < n; ++j)
     lp.colptr[j + 1] = lp.colptr[j] + colcount[j];
-  const auto nnz = static_cast<std::size_t>(lp.colptr[n]);
   lp.rowind.assign(nnz, 0);
   if (with_values) lp.values.assign(nnz, 0.0);
   if (row_offdiag != nullptr)
@@ -259,6 +273,7 @@ SymbolicFactor symbolic_cholesky_naive(const CscMatrix& a_lower) {
     for (const index_t j : er.row_pattern(i)) ++s.colcount[j];
 
   // Allocate the pattern.
+  (void)checked_fill_nnz(s.colcount);
   s.l_pattern = CscMatrix(n, n);
   s.l_pattern.colptr[0] = 0;
   for (index_t j = 0; j < n; ++j)

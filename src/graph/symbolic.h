@@ -45,10 +45,16 @@ class ERreach {
 };
 
 /// Result of the full symbolic factorization.
+///
+/// The standalone entry points below fill every field, with l_pattern's
+/// values allocated as zeros. A plan keeps each fact once: a simplicial
+/// plan holds l_pattern without values (its executor owns L's values),
+/// and a supernodal plan holds no l_pattern at all (its layout's row
+/// lists are the only copy of L's structure). Read n as parent.size().
 struct SymbolicFactor {
   std::vector<index_t> parent;     ///< elimination tree
   std::vector<index_t> colcount;   ///< nnz(L(:,j)) including the diagonal
-  CscMatrix l_pattern;             ///< pattern of L, values allocated = 0
+  CscMatrix l_pattern;             ///< pattern of L (see above)
   std::int64_t fill_nnz = 0;       ///< nnz(L)
   double flops = 0.0;              ///< factorization flops: sum cc_j^2
 
@@ -70,6 +76,13 @@ struct SymbolicFactor {
 [[nodiscard]] std::vector<index_t> cholesky_counts(
     const CscMatrix& a_lower, std::span<const index_t> parent,
     std::span<const index_t> post);
+
+/// nnz(L) as the 64-bit sum of the column counts. Throws
+/// resource_exhausted_error (kResourceExhausted) when it exceeds index_t:
+/// every |L|-sized array, and the supernode row lists, is indexed by
+/// index_t, so such a factor cannot be planned. Callers run it on the
+/// O(n) counts before allocating anything |L|-sized.
+[[nodiscard]] std::int64_t checked_fill_nnz(std::span<const index_t> colcount);
 
 /// Fill the pattern of L in one fused sweep into exact-presized flat
 /// arrays: colptr comes from `colcount`, then one ereach-style row sweep

@@ -7,39 +7,64 @@
 
 namespace sympiler::solvers {
 
-SupernodalLayout SupernodalLayout::build(const SymbolicFactor& sym,
-                                         SupernodePartition partition) {
+namespace {
+
+/// Finish a layout from its row lists: panel offsets are nrows * width.
+SupernodalLayout layout_from_rows(const SymbolicFactor& sym,
+                                  SupernodePartition partition,
+                                  SupernodeRows rows) {
   SupernodalLayout layout;
   layout.n = static_cast<index_t>(sym.parent.size());
   layout.sn = std::move(partition);
-  layout.parent = sym.parent;
-  layout.colcount = sym.colcount;
   layout.flops = sym.flops;
-  SYMPILER_CHECK(layout.sn.valid(layout.n), "layout: invalid partition");
-
+  layout.srow_ptr = std::move(rows.ptr);
+  layout.srows = std::move(rows.rows);
   const index_t nsuper = layout.sn.count();
-  layout.srow_ptr.assign(static_cast<std::size_t>(nsuper) + 1, 0);
   layout.panel_ptr.assign(static_cast<std::size_t>(nsuper) + 1, 0);
+  for (index_t s = 0; s < nsuper; ++s)
+    layout.panel_ptr[s + 1] =
+        layout.panel_ptr[s] +
+        static_cast<std::int64_t>(layout.nrows(s)) * layout.width(s);
+  return layout;
+}
+
+}  // namespace
+
+SupernodalLayout SupernodalLayout::build(const SymbolicFactor& sym,
+                                         SupernodePartition partition) {
+  const auto n = static_cast<index_t>(sym.parent.size());
+  SYMPILER_CHECK(partition.valid(n), "layout: invalid partition");
+  SYMPILER_CHECK(sym.l_pattern.cols() == n,
+                 "layout: symbolic factor carries no pattern of L");
+  const CscMatrix& lp = sym.l_pattern;
+  const index_t nsuper = partition.count();
+  SupernodeRows rows;
+  rows.ptr.assign(static_cast<std::size_t>(nsuper) + 1, 0);
   // The rows of supernode s are the pattern of its first column (the
   // supernodal invariant guarantees later columns' patterns are suffixes).
   for (index_t s = 0; s < nsuper; ++s) {
-    const index_t c1 = layout.sn.start[s];
-    const index_t nrow =
-        sym.l_pattern.col_end(c1) - sym.l_pattern.col_begin(c1);
-    const index_t w = layout.sn.width(s);
-    SYMPILER_CHECK(nrow >= w, "layout: supernode shorter than its width");
-    layout.srow_ptr[s + 1] = layout.srow_ptr[s] + nrow;
-    layout.panel_ptr[s + 1] =
-        layout.panel_ptr[s] + static_cast<std::int64_t>(nrow) * w;
+    const index_t c1 = partition.start[s];
+    const index_t nrow = lp.col_end(c1) - lp.col_begin(c1);
+    SYMPILER_CHECK(nrow >= partition.width(s),
+                   "layout: supernode shorter than its width");
+    rows.ptr[s + 1] = rows.ptr[s] + nrow;
   }
-  layout.srows.resize(static_cast<std::size_t>(layout.srow_ptr[nsuper]));
+  rows.rows.resize(static_cast<std::size_t>(rows.ptr[nsuper]));
   for (index_t s = 0; s < nsuper; ++s) {
-    const index_t c1 = layout.sn.start[s];
-    std::copy(sym.l_pattern.rowind.begin() + sym.l_pattern.col_begin(c1),
-              sym.l_pattern.rowind.begin() + sym.l_pattern.col_end(c1),
-              layout.srows.begin() + layout.srow_ptr[s]);
+    const index_t c1 = partition.start[s];
+    std::copy(lp.rowind.begin() + lp.col_begin(c1),
+              lp.rowind.begin() + lp.col_end(c1),
+              rows.rows.begin() + rows.ptr[s]);
   }
-  return layout;
+  return layout_from_rows(sym, std::move(partition), std::move(rows));
+}
+
+SupernodalLayout SupernodalLayout::build(const CscMatrix& upper,
+                                         const SymbolicFactor& sym,
+                                         SupernodePartition partition) {
+  SupernodeRows rows =
+      supernodal_fill_pattern(upper, sym.parent, sym.colcount, partition);
+  return layout_from_rows(sym, std::move(partition), std::move(rows));
 }
 
 UpdateLists compute_update_lists(const SupernodalLayout& layout) {
@@ -111,13 +136,14 @@ void scatter_into_panels(const SupernodalLayout& layout,
   scatter_into_panels(layout, a_lower, panels, map);
 }
 
-CscMatrix panels_to_csc(const SupernodalLayout& layout,
-                        std::span<const value_t> panels) {
+namespace {
+
+/// L's shape and colptr from the layout: column j of supernode s holds
+/// nrows(s) - (j - c1) entries, so the output arrays can be sized once up
+/// front instead of growing by push_back.
+CscMatrix csc_shell(const SupernodalLayout& layout) {
   const index_t n = layout.n;
   CscMatrix l(n, n);
-  // Exact per-column nnz from the layout (column j of supernode s holds
-  // nrows(s) - local entries), so the output arrays are written once into
-  // their final size instead of growing by push_back.
   l.colptr[0] = 0;
   for (index_t s = 0; s < layout.nsuper(); ++s) {
     const index_t c1 = layout.sn.start[s];
@@ -127,7 +153,27 @@ CscMatrix panels_to_csc(const SupernodalLayout& layout,
       l.colptr[j + 1] = l.colptr[j] + (m - (j - c1));
   }
   l.rowind.resize(static_cast<std::size_t>(l.colptr[n]));
-  l.values.resize(static_cast<std::size_t>(l.colptr[n]));
+  return l;
+}
+
+}  // namespace
+
+CscMatrix layout_pattern(const SupernodalLayout& layout) {
+  CscMatrix l = csc_shell(layout);
+  for (index_t s = 0; s < layout.nsuper(); ++s) {
+    const index_t c1 = layout.sn.start[s];
+    const index_t* rows = layout.srows.data() + layout.srow_ptr[s];
+    const index_t* rows_end = layout.srows.data() + layout.srow_ptr[s + 1];
+    for (index_t j = c1; j < layout.sn.start[s + 1]; ++j)
+      std::copy(rows + (j - c1), rows_end, l.rowind.begin() + l.colptr[j]);
+  }
+  return l;
+}
+
+CscMatrix panels_to_csc(const SupernodalLayout& layout,
+                        std::span<const value_t> panels) {
+  CscMatrix l = csc_shell(layout);
+  l.values.resize(l.rowind.size());
   index_t* li = l.rowind.data();
   value_t* lx = l.values.data();
   for (index_t s = 0; s < layout.nsuper(); ++s) {

@@ -19,11 +19,13 @@
 namespace sympiler::solvers {
 
 /// Symbolic supernodal layout of the factor L.
+///
+/// The row lists are the only copy of L's structure a supernodal plan
+/// holds: column j of supernode s is the suffix of s's rows starting at
+/// j. The etree and column counts live once, in the SymbolicFactor.
 struct SupernodalLayout {
   index_t n = 0;
   SupernodePartition sn;
-  std::vector<index_t> parent;    ///< column elimination tree
-  std::vector<index_t> colcount;  ///< per-column nnz of L
   /// Row indices of each supernode panel: srows[srow_ptr[s]..srow_ptr[s+1])
   /// are the rows of supernode s; the first width(s) of them are the
   /// supernode's own columns (dense triangular block).
@@ -44,17 +46,21 @@ struct SupernodalLayout {
   /// Heap bytes of the layout arrays (plan-size accounting; the numeric
   /// panels are owned by executors, not the layout).
   [[nodiscard]] std::size_t bytes() const {
-    return sn.bytes() +
-           (parent.size() + colcount.size() + srow_ptr.size() + srows.size()) *
-               sizeof(index_t) +
+    return sn.bytes() + (srow_ptr.size() + srows.size()) * sizeof(index_t) +
            panel_ptr.size() * sizeof(std::int64_t);
   }
 
-  /// Build from a symbolic factorization and a (fundamental) partition.
-  /// The partition must satisfy the supernodal invariant w.r.t. the
-  /// pattern in `sym` unless `allow_relaxed`; relaxed supernodes take the
-  /// union pattern (pattern of the first column).
+  /// Build from a symbolic factorization carrying the column pattern of L
+  /// and a partition satisfying the supernodal invariant w.r.t. it: the
+  /// rows of supernode s are copied out of its first column.
   static SupernodalLayout build(const SymbolicFactor& sym,
+                                SupernodePartition partition);
+
+  /// Build without the column pattern: the row lists are filled straight
+  /// from `upper` = transpose(A lower) by supernodal_fill_pattern, using
+  /// sym.parent and sym.colcount. Byte-identical to the copy-out build.
+  static SupernodalLayout build(const CscMatrix& upper,
+                                const SymbolicFactor& sym,
                                 SupernodePartition partition);
 };
 
@@ -96,6 +102,11 @@ void scatter_into_panels(const SupernodalLayout& layout,
 /// (no push_back growth).
 [[nodiscard]] CscMatrix panels_to_csc(const SupernodalLayout& layout,
                                       std::span<const value_t> panels);
+
+/// The column pattern of L spelled out from the row lists (no values):
+/// which a supernodal plan does not store, for callers that need L as
+/// CSC before any factorization (e.g. to plan a triangular solve).
+[[nodiscard]] CscMatrix layout_pattern(const SupernodalLayout& layout);
 
 /// Supernodal forward solve L y = b over panels; x: b in, y out. `scratch`
 /// is caller workspace of at least max_tail(layout) entries; the 3-arg

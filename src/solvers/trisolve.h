@@ -20,6 +20,12 @@ namespace sympiler::solvers {
 /// Throws numerical_error on a zero diagonal.
 void trisolve_naive(const CscMatrix& l, std::span<value_t> x);
 
+/// The same sweep over a factor whose pattern and values are stored apart
+/// (a simplicial plan's pattern, an executor's values); `lx` holds
+/// pattern.nnz() values and pattern.values is not read.
+void trisolve_naive(const CscMatrix& pattern, std::span<const value_t> lx,
+                    std::span<value_t> x);
+
 /// Figure 1c: the guarded library loop (`if (x[j] != 0)`).
 void trisolve_library(const CscMatrix& l, std::span<value_t> x);
 
@@ -30,6 +36,8 @@ void trisolve_decoupled(const CscMatrix& l, std::span<const index_t> reach_set,
 /// Backward solve L^T x = b with L stored lower CSC (used to complete
 /// A x = b after Cholesky). x holds b on entry, the solution on exit.
 void trisolve_transpose(const CscMatrix& l, std::span<value_t> x);
+void trisolve_transpose(const CscMatrix& pattern, std::span<const value_t> lx,
+                        std::span<value_t> x);
 
 /// Flop count of a sparse-RHS solve restricted to `reach_set`
 /// (1 div + 2 flops per off-diagonal nonzero of each reached column).

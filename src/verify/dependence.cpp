@@ -98,12 +98,9 @@ bool check_partition(Checker& c, const SupernodePartition& sn, index_t n,
 /// Validate the CSC invariants of a factor pattern: monotone colptr,
 /// diagonal-first sorted in-bounds columns. When `offdiag_hash` is given,
 /// also compute the commutative pair hash of every off-diagonal entry (for
-/// the rowpat transpose check). Pass `check_sorted = false` when a later
-/// check compares every column against an independently-validated sorted
-/// row list (the supernodal panel compare), which subsumes the sweep.
+/// the rowpat transpose check).
 bool check_lower_pattern(Checker& c, const CscMatrix& lp, const char* check,
-                         std::uint64_t* offdiag_hash = nullptr,
-                         bool check_sorted = true) {
+                         std::uint64_t* offdiag_hash = nullptr) {
   const index_t n = lp.cols();
   if (static_cast<index_t>(lp.colptr.size()) != n + 1 ||
       lp.colptr.front() != 0 ||
@@ -116,78 +113,68 @@ bool check_lower_pattern(Checker& c, const CscMatrix& lp, const char* check,
       return c.fail(check, j, "diagonal missing or not first in column");
   }
   const auto& ri = lp.rowind;
-  if (check_sorted) {
-    // Two-tier sortedness: the branchless sweep with the n-1
-    // column-boundary pairs exempted; the per-element scan with a useful
-    // message runs only when the sweep says something is wrong. A negative
-    // interior entry is always <= its predecessor somewhere down the chain
-    // to the (validated) diagonal, so the two sweep comparisons cover
-    // bounds as well.
-    std::uint64_t viol = pair_violations(ri, n);
-    for (index_t j = 1; j < n; ++j) {
-      const index_t b = lp.colptr[j];
-      viol -= static_cast<std::uint64_t>(ri[b] <= ri[b - 1]);
-    }
-    if (viol != 0) {
-      for (index_t j = 0; j < n; ++j)
-        for (index_t p = lp.colptr[j] + 1; p < lp.colptr[j + 1]; ++p)
-          if (ri[p] <= ri[p - 1] || ri[p] >= n)
-            return c.fail(
-                check, j,
-                cat("row indices not strictly increasing in-bounds ",
-                    "at position ", p));
-      return c.fail(check, -1,
-                    "row indices not strictly increasing in-bounds");
-    }
+  // Two-tier sortedness: the branchless sweep with the n-1
+  // column-boundary pairs exempted; the per-element scan with a useful
+  // message runs only when the sweep says something is wrong. A negative
+  // interior entry is always <= its predecessor somewhere down the chain
+  // to the (validated) diagonal, so the two sweep comparisons cover
+  // bounds as well.
+  std::uint64_t viol = pair_violations(ri, n);
+  for (index_t j = 1; j < n; ++j) {
+    const index_t b = lp.colptr[j];
+    viol -= static_cast<std::uint64_t>(ri[b] <= ri[b - 1]);
+  }
+  if (viol != 0) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t p = lp.colptr[j] + 1; p < lp.colptr[j + 1]; ++p)
+        if (ri[p] <= ri[p - 1] || ri[p] >= n)
+          return c.fail(check, j,
+                        cat("row indices not strictly increasing in-bounds ",
+                            "at position ", p));
+    return c.fail(check, -1, "row indices not strictly increasing in-bounds");
   }
   if (offdiag_hash != nullptr) *offdiag_hash = hash_offdiag(lp.colptr, ri, n);
   return true;
 }
 
-/// Internal consistency of a SupernodalLayout (partition, row lists, panel
-/// offsets, column counts). Does not touch the L pattern.
-/// `panels_bound_to_l` marks that the caller will compare every panel's
-/// row list against the verified L pattern column-by-column (the
-/// supernode-invariant check). That compare, together with L's
-/// diagonal-first invariant, already implies rows >= width and that the
-/// first width(s) panel rows are the own columns, so those per-supernode
-/// checks are skipped here — they are the layout pass's hottest loop on
-/// meshes with thousands of narrow supernodes.
+/// Internal consistency of a SupernodalLayout against the etree and
+/// column counts — the layout is a supernodal plan's only copy of L's
+/// structure, so every supernode invariant is checked on it alone:
+///  * partition, offsets and panel extents agree;
+///  * each row list starts with the dense diagonal block (the supernode's
+///    own columns) and is strictly ascending in [c1, n);
+///  * colcount[j] == nrows(s) - (j - c1) for every column j of s (the
+///    columns of s are the suffixes of its row list);
+///  * the etree chains through s (parent[j] == j + 1 inside) and leaves
+///    through its first below-block row (-1 when there is none).
 bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
-                  index_t n, bool panels_bound_to_l) {
+                  index_t n, const std::vector<index_t>& colcount,
+                  const std::vector<index_t>& parent) {
   if (layout.n != n)
     return c.fail("structure.layout", -1,
-                  cat("layout order ", layout.n, " != pattern order ", n));
+                  cat("layout order ", layout.n, " != problem order ", n));
   if (!check_partition(c, layout.sn, n, "structure.layout")) return false;
   const index_t nsuper = layout.sn.count();
   if (static_cast<index_t>(layout.srow_ptr.size()) != nsuper + 1 ||
       layout.srow_ptr.front() != 0 ||
       static_cast<index_t>(layout.srows.size()) != layout.srow_ptr.back() ||
       static_cast<index_t>(layout.panel_ptr.size()) != nsuper + 1 ||
-      layout.panel_ptr.front() != 0 ||
-      static_cast<index_t>(layout.colcount.size()) != n)
+      layout.panel_ptr.front() != 0)
     return c.fail("structure.layout", -1,
-                  "srow_ptr/srows/panel_ptr/colcount sizes inconsistent");
+                  "srow_ptr/srows/panel_ptr sizes inconsistent");
   for (index_t s = 0; s < nsuper; ++s) {
     if (layout.srow_ptr[s + 1] < layout.srow_ptr[s])
       return c.fail("structure.layout", s, "srow_ptr decreases");
     const index_t rows = layout.srow_ptr[s + 1] - layout.srow_ptr[s];
     const index_t w = layout.width(s);
-    if (!panels_bound_to_l) {
-      if (rows < w)
-        return c.fail("structure.layout", s,
-                      cat("panel has ", rows, " rows < width ", w));
-      const index_t base = layout.srow_ptr[s];
-      for (index_t u = 0; u < w; ++u)
-        if (layout.srows[base + u] != layout.sn.start[s] + u)
-          return c.fail("structure.layout", s,
-                        "first width(s) panel rows must be the own columns");
-    }
-    if (layout.colcount[layout.sn.start[s]] != rows)
+    if (rows < w)
       return c.fail("structure.layout", s,
-                    cat("colcount[", layout.sn.start[s], "] = ",
-                        layout.colcount[layout.sn.start[s]],
-                        ", panel has ", rows, " rows"));
+                    cat("panel has ", rows, " rows < width ", w));
+    const index_t base = layout.srow_ptr[s];
+    for (index_t u = 0; u < w; ++u)
+      if (layout.srows[base + u] != layout.sn.start[s] + u)
+        return c.fail("structure.layout", s,
+                      "first width(s) panel rows must be the own columns");
     if (layout.panel_ptr[s + 1] - layout.panel_ptr[s] !=
         static_cast<std::int64_t>(rows) * w)
       return c.fail("structure.layout", s,
@@ -197,9 +184,8 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
   // Two-tier tail check mirroring check_lower_pattern: branchless
   // ascending/bounds sweep over all panel rows with the panel-boundary
   // pairs exempted; the per-row diagnostic scan runs only on violation.
-  // The first rows of every panel are its own columns (verified above,
-  // or pinned through L's diagonal-first invariant by the caller's panel
-  // compare when panels_bound_to_l), so they anchor bounds from below.
+  // The first rows of every panel are its own columns (verified above),
+  // so they anchor the ascending run at c1 from below.
   const auto& sr = layout.srows;
   std::uint64_t viol = sr.empty() ? 0 : pair_violations(sr, n);
   for (index_t s = 1; s < nsuper; ++s) {
@@ -221,6 +207,33 @@ bool check_layout(Checker& c, const solvers::SupernodalLayout& layout,
       }
     }
     return c.fail("structure.layout", -1, "panel rows inconsistent");
+  }
+  // Supernode invariant, from the layout alone: column counts and the
+  // etree must describe exactly the suffixes of each row list.
+  c.note();
+  for (index_t s = 0; s < nsuper; ++s) {
+    const index_t c1 = layout.sn.start[s];
+    const index_t c2 = layout.sn.start[s + 1];
+    const index_t rows = layout.nrows(s);
+    for (index_t j = c1; j < c2; ++j)
+      if (colcount[j] != rows - (j - c1))
+        return c.fail("structure.supernode-invariant", j,
+                      cat("colcount[", j, "] = ", colcount[j], ", column ",
+                          j, " of supernode ", s, " has ",
+                          rows - (j - c1), " panel rows"));
+    for (index_t j = c1; j + 1 < c2; ++j)
+      if (parent[j] != j + 1)
+        return c.fail("structure.supernode-invariant", j,
+                      cat("etree parent of ", j, " is ", parent[j],
+                          ", not the next column of supernode ", s));
+    const index_t w = c2 - c1;
+    const index_t exit =
+        rows > w ? layout.srows[layout.srow_ptr[s] + w] : index_t{-1};
+    if (parent[c2 - 1] != exit)
+      return c.fail("structure.supernode-invariant", c2 - 1,
+                    cat("etree parent of ", c2 - 1, " is ", parent[c2 - 1],
+                        ", supernode ", s, "'s first below-block row is ",
+                        exit));
   }
   return true;
 }
@@ -280,24 +293,83 @@ bool check_updates(Checker& c, const solvers::SupernodalLayout& layout,
 
 void check_structure(Report& report, const core::CholeskyPlan& plan) {
   Checker c(report, Pass::kStructure);
-  const CscMatrix& lp = plan.sets.sym.l_pattern;
-  const index_t n = lp.cols();
+  const SymbolicFactor& sym = plan.sets.sym;
+  const CscMatrix& lp = sym.l_pattern;
+  const auto n = static_cast<index_t>(sym.parent.size());
 
+  // The etree and column counts every structure is checked against.
   c.note();
-  std::uint64_t offdiag_hash = 0;
+  if (static_cast<index_t>(sym.colcount.size()) != n) {
+    c.fail("structure.symbolic", -1,
+           cat("colcount has ", sym.colcount.size(), " entries, etree ", n));
+    return;
+  }
+  std::int64_t fill = 0;
+  for (index_t j = 0; j < n; ++j) {
+    const index_t p = sym.parent[j];
+    if (p != -1 && (p <= j || p >= n)) {
+      c.fail("structure.symbolic", j,
+             cat("etree parent ", p, " of ", j, " is not a later column"));
+      return;
+    }
+    if (sym.colcount[j] < 1 || sym.colcount[j] > n - j) {
+      c.fail("structure.symbolic", j,
+             cat("colcount ", sym.colcount[j], " outside [1, ", n - j, "]"));
+      return;
+    }
+    fill += sym.colcount[j];
+  }
+  if (fill != sym.fill_nnz) {
+    c.fail("structure.symbolic", -1,
+           cat("column counts sum to ", fill, ", fill_nnz is ",
+               sym.fill_nnz));
+    return;
+  }
+
+  // Each plan holds L's structure once: the column pattern on the
+  // simplicial path, the layout's row lists on the supernodal ones.
+  const bool simplicial = plan.path == core::ExecutionPath::Simplicial;
+  const bool has_pattern = !lp.colptr.empty();
   const bool has_layout = plan.sets.layout.n != 0;
-  const bool lp_ok = check_lower_pattern(
-      c, lp, "structure.l-pattern",
-      plan.sets.rowpat_ptr.empty() ? nullptr : &offdiag_hash,
-      /*check_sorted=*/!has_layout);
   c.note();
-  if (lp_ok && static_cast<index_t>(plan.sets.sym.colcount.size()) == n) {
-    for (index_t j = 0; j < n; ++j) {
-      if (plan.sets.sym.colcount[j] != lp.colptr[j + 1] - lp.colptr[j]) {
+  if (simplicial && !has_pattern) {
+    c.fail("structure.l-pattern", -1,
+           "simplicial plan carries no pattern of L");
+    return;
+  }
+  if (!simplicial && !has_layout) {
+    c.fail("structure.layout", -1, "supernodal plan carries no layout");
+    return;
+  }
+
+  std::uint64_t offdiag_hash = 0;
+  bool lp_ok = false;
+  if (has_pattern) {
+    c.note();
+    if (lp.cols() != n || lp.rows() != n) {
+      c.fail("structure.l-pattern", -1,
+             cat("pattern is ", lp.rows(), "x", lp.cols(), ", etree order ",
+                 n));
+    } else {
+      lp_ok = check_lower_pattern(
+          c, lp, "structure.l-pattern",
+          plan.sets.rowpat_ptr.empty() ? nullptr : &offdiag_hash);
+    }
+    c.note();
+    for (index_t j = 0; lp_ok && j < n; ++j) {
+      const index_t extent = lp.colptr[j + 1] - lp.colptr[j];
+      if (sym.colcount[j] != extent) {
         c.fail("structure.colcount", j,
-               cat("colcount ", plan.sets.sym.colcount[j],
-                   " != pattern column extent ",
-                   lp.colptr[j + 1] - lp.colptr[j]));
+               cat("colcount ", sym.colcount[j],
+                   " != pattern column extent ", extent));
+        break;
+      }
+      // The etree parent of j is the first row below its diagonal.
+      const index_t first = extent > 1 ? lp.rowind[lp.colptr[j] + 1] : -1;
+      if (sym.parent[j] != first) {
+        c.fail("structure.etree", j,
+               cat("etree parent ", sym.parent[j],
+                   " != first below-diagonal row ", first));
         break;
       }
     }
@@ -372,36 +444,8 @@ void check_structure(Report& report, const core::CholeskyPlan& plan) {
   bool layout_ok = false;
   if (has_layout) {
     c.note();
-    layout_ok = check_layout(c, plan.sets.layout, n,
-                             /*panels_bound_to_l=*/lp_ok);
-    if (layout_ok && lp_ok) {
-      // Supernodal invariant, bound to the layout: every column of a
-      // supernode must equal the suffix of its panel's row list starting
-      // at its own diagonal. This subsumes supernodes_consistent (dense
-      // diagonal block + shared tails) and additionally pins the srows
-      // content to the L pattern, all as contiguous range compares.
-      c.note();
-      const solvers::SupernodalLayout& layout = plan.sets.layout;
-      bool sn_ok = true;
-      for (index_t s = 0; s < layout.nsuper() && sn_ok; ++s) {
-        const index_t c1 = layout.sn.start[s];
-        const index_t c2 = layout.sn.start[s + 1];
-        const index_t base = layout.srow_ptr[s];
-        const index_t rows = layout.srow_ptr[s + 1] - base;
-        for (index_t j = c1; j < c2 && sn_ok; ++j) {
-          const index_t off = j - c1;
-          const index_t b = lp.colptr[j];
-          if (lp.colptr[j + 1] - b != rows - off ||
-              !std::equal(lp.rowind.begin() + b,
-                          lp.rowind.begin() + lp.colptr[j + 1],
-                          layout.srows.begin() + base + off))
-            sn_ok = c.fail(
-                "structure.supernode-invariant", j,
-                cat("column ", j, " pattern is not the suffix of supernode ",
-                    s, "'s panel rows"));
-        }
-      }
-    }
+    layout_ok =
+        check_layout(c, plan.sets.layout, n, sym.colcount, sym.parent);
   }
   if (layout_ok && !plan.sets.updates.ptr.empty()) {
     c.note();

@@ -231,7 +231,7 @@ void check_emitted(Report& report, const core::CholeskyPlan& plan) {
   if (!report.findings.empty()) return;  // audit only otherwise-clean plans
   Checker c(report, Pass::kEmitted);
   const CscMatrix& lp = plan.sets.sym.l_pattern;
-  const index_t n = lp.cols();
+  const auto n = static_cast<index_t>(plan.sets.sym.parent.size());
 
   const bool simplicial = plan.path == core::ExecutionPath::Simplicial;
   c.note();

@@ -126,7 +126,7 @@ const char* to_string(Corruption c) {
 
 bool PlanMutator::apply(core::CholeskyPlan& plan, Corruption c) {
   auto& sets = plan.sets;
-  const index_t n = sets.sym.l_pattern.cols();
+  const auto n = static_cast<index_t>(sets.sym.parent.size());
   const bool has_layout = sets.layout.n != 0;
 
   switch (c) {

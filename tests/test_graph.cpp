@@ -408,5 +408,61 @@ TEST(Supernodes, RelaxedAmalgamationCoarsensPartition) {
   EXPECT_LE(relaxed.count(), strict.count());
 }
 
+TEST(Supernodes, DirectRowFillMatchesCopyOutOfTheColumnPattern) {
+  // supernodal_fill_pattern walks the supernodal etree once per A entry
+  // instead of filling every column of L; its row lists must equal the
+  // first columns of the full pattern, byte for byte, on every shape —
+  // including width-capped and relaxed partitions.
+  std::vector<CscMatrix> mats;
+  mats.push_back(gen::grid2d_laplacian(20, 20));
+  mats.push_back(gen::grid2d_laplacian(9, 30, gen::GridOrder::Natural));
+  mats.push_back(gen::grid3d_laplacian(6, 5, 7));
+  mats.push_back(gen::block_structural(6, 7, 3, 5));
+  mats.push_back(gen::random_spd(200, 3.0, 17));
+  mats.push_back(gen::banded_spd(90, 89, 2));
+  mats.push_back(gen::power_grid(300, 40, 4));
+  SupernodeOptions capped;
+  capped.max_width = 4;
+  SupernodeOptions relaxed;
+  relaxed.relax = true;
+  relaxed.relax_ratio = 0.5;
+  for (std::size_t m = 0; m < mats.size(); ++m) {
+    const SymbolicFactor s = symbolic_cholesky(mats[m]);
+    const CscMatrix upper = transpose(mats[m]);
+    for (const SupernodeOptions& opt : {SupernodeOptions{}, capped, relaxed}) {
+      const SupernodePartition sn =
+          supernodes_cholesky(s.parent, s.colcount, opt);
+      const SupernodeRows rows =
+          supernodal_fill_pattern(upper, s.parent, s.colcount, sn);
+      ASSERT_EQ(rows.ptr.size(), static_cast<std::size_t>(sn.count()) + 1);
+      std::vector<index_t> expect;
+      for (index_t k = 0; k < sn.count(); ++k) {
+        const index_t c1 = sn.start[k];
+        EXPECT_EQ(rows.ptr[k + 1] - rows.ptr[k],
+                  s.l_pattern.col_end(c1) - s.l_pattern.col_begin(c1))
+            << "matrix " << m << " supernode " << k;
+        expect.insert(expect.end(),
+                      s.l_pattern.rowind.begin() + s.l_pattern.col_begin(c1),
+                      s.l_pattern.rowind.begin() + s.l_pattern.col_end(c1));
+      }
+      EXPECT_EQ(rows.rows, expect) << "matrix " << m;
+    }
+  }
+}
+
+TEST(Symbolic, FillCountOverflowingTheIndexTypeIsResourceExhausted) {
+  // 50000 dense-ish columns sum past 2^31 - 1: refused before anything
+  // |L|-sized is allocated, with the structured code.
+  const std::vector<index_t> colcount(50000, 50000);
+  try {
+    (void)checked_fill_nnz(colcount);
+    FAIL() << "overflowing nnz(L) was accepted";
+  } catch (const resource_exhausted_error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
+  }
+  const std::vector<index_t> small(1000, 3);
+  EXPECT_EQ(checked_fill_nnz(small), 3000);
+}
+
 }  // namespace
 }  // namespace sympiler

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -119,6 +120,11 @@ CholeskyPlan coarsened_cholesky_plan(const CscMatrix& a) {
   plan.key = core::cholesky_pattern_key(a, opt);
   plan.options = opt;
   plan.sets = core::inspect_cholesky(a, opt);
+  // Shape the ungated sets like a planned supernodal plan: the layout is
+  // its only copy of L's structure, and plans carry no L values.
+  plan.sets.sym.l_pattern = CscMatrix{};
+  plan.sets.rowpat_ptr.clear();
+  plan.sets.rowpat.clear();
   plan.schedule = parallel::level_schedule_supernodes(plan.sets.blocks,
                                                       plan.sets.sym.parent);
   plan.solve_update_map = parallel::update_slots_supernodes(plan.sets.layout);
@@ -860,6 +866,83 @@ TEST(RestartWarmStart, CorruptedFileTakesRungFiveDiscardReplanRewrite) {
   EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
   EXPECT_FALSE(rewarmed.degraded());
   expect_bits_equal(again, want);
+}
+
+TEST(RestartWarmStart, VersionOneFileIsStaleThenReplannedAndRewritten) {
+  // A file written by the version-1 layout (L's column pattern with its
+  // zero values on every plan) must not be parsed by the version-2
+  // reader: patch the version field, recompute the header CRC so only the
+  // version lies, and the load is kStalePlanVersion — then rung 5
+  // discards, replans and rewrites it.
+  TempDir dir;
+  const CscMatrix a = gen::grid2d_laplacian(30, 30);
+  api::SolverConfig config;
+  config.enable_parallel = false;
+  config.options.plan_store_dir = dir.path;
+
+  auto store = PlanStore::open(dir.path);
+  api::FactorReport cold;
+  const std::vector<value_t> want = restart_factor_solve(a, config, &cold);
+  store->flush();
+
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path))
+    if (entry.path().extension() == ".plan") path = entry.path().string();
+  ASSERT_FALSE(path.empty());
+  std::vector<std::uint8_t> image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(rd<std::uint32_t>(image, 8), core::kPlanFormatVersion);
+  wr<std::uint32_t>(image, 8, 1u);
+  fix_header_crc(image);
+  EXPECT_EQ(load_image(image, static_cast<CholeskyPlan*>(nullptr)).code,
+            ErrorCode::kStalePlanVersion);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  }
+
+  api::FactorReport stale;
+  const std::vector<value_t> got = restart_factor_solve(a, config, &stale);
+  EXPECT_TRUE(stale.store_recovered) << stale.to_string();
+  EXPECT_EQ(stale.last_error.code, ErrorCode::kStalePlanVersion);
+  expect_bits_equal(got, want);
+
+  store->flush();
+  api::FactorReport rewarmed;
+  const std::vector<value_t> again =
+      restart_factor_solve(a, config, &rewarmed);
+  EXPECT_TRUE(rewarmed.store_loaded) << rewarmed.to_string();
+  EXPECT_FALSE(rewarmed.degraded());
+  expect_bits_equal(again, want);
+}
+
+TEST(PlanSerde, LoadedPlansHoldEachPieceOfTheirStructureOnce) {
+  // Version 2 stores what a plan holds and nothing more: the supernodal
+  // plan loads without a column pattern, the simplicial one without a
+  // value array, and bytes() agrees with the fresh plan on both.
+  const CscMatrix a = gen::grid2d_laplacian(30, 30);
+  for (const CholeskyPlan& fresh : {supernodal_plan(a), simplicial_plan(a)}) {
+    const std::vector<std::uint8_t> image = core::serialize_plan(fresh);
+    CholeskyPlan loaded;
+    ASSERT_TRUE(
+        core::deserialize_plan(std::span<const std::uint8_t>(image), &loaded)
+            .ok());
+    EXPECT_EQ(loaded.bytes(), fresh.bytes()) << core::to_string(fresh.path);
+    EXPECT_TRUE(loaded.sets.sym.l_pattern.values.empty());
+    if (fresh.path == ExecutionPath::Simplicial) {
+      EXPECT_EQ(loaded.sets.sym.l_pattern.rowind,
+                fresh.sets.sym.l_pattern.rowind);
+    } else {
+      EXPECT_TRUE(loaded.sets.sym.l_pattern.colptr.empty());
+      EXPECT_EQ(loaded.sets.layout.srows, fresh.sets.layout.srows);
+    }
+    EXPECT_TRUE(verify::verify_plan(loaded).ok());
+  }
 }
 
 TEST(RestartWarmStart, TriangularSolverWarmStartsFromTheStore) {

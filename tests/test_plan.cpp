@@ -800,22 +800,37 @@ TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
   PlannerConfig sup = supernodal_config();
   const CholeskyPlan supernodal = Planner(sup).plan_cholesky(a);
   ASSERT_EQ(supernodal.path, ExecutionPath::Supernodal);
-  // Supernodal plans carry the layout but neither the simplicial row
-  // patterns nor the |L|-sized zero value array.
+  // Supernodal plans carry the layout as their only copy of L's
+  // structure: no column pattern (colptr, rowind or values) and no
+  // simplicial row patterns. The etree and counts stay for consumers.
   EXPECT_FALSE(supernodal.sets.layout.srows.empty());
   EXPECT_FALSE(supernodal.sets.updates.ptr.empty());
   EXPECT_TRUE(supernodal.sets.rowpat_ptr.empty());
+  EXPECT_TRUE(supernodal.sets.sym.l_pattern.colptr.empty());
+  EXPECT_TRUE(supernodal.sets.sym.l_pattern.rowind.empty());
   EXPECT_TRUE(supernodal.sets.sym.l_pattern.values.empty());
-  EXPECT_FALSE(supernodal.sets.sym.l_pattern.rowind.empty());
+  EXPECT_EQ(supernodal.sets.sym.parent.size(),
+            static_cast<std::size_t>(a.cols()));
+  EXPECT_EQ(supernodal.sets.sym.colcount.size(),
+            static_cast<std::size_t>(a.cols()));
+  std::int64_t counted = 0;
+  for (const index_t c : supernodal.sets.sym.colcount) counted += c;
+  EXPECT_EQ(supernodal.sets.sym.fill_nnz, counted);
+  // The pattern spelled out from the layout is L's pattern.
+  const core::CholeskySets full_sup = core::inspect_cholesky(a, sup.options);
+  EXPECT_TRUE(
+      supernodal.sets.pattern_of_l().same_pattern(full_sup.sym.l_pattern));
 
   PlannerConfig simp;
   simp.options.vsblock_min_avg_size = 1e9;
   const CholeskyPlan simplicial = Planner(simp).plan_cholesky(a);
   ASSERT_EQ(simplicial.path, ExecutionPath::Simplicial);
-  // Simplicial plans carry rowpat + L values, no supernodal layout.
+  // Simplicial plans are pattern-only: rowpat + L's column pattern, no
+  // value array (the executor owns L's values), no supernodal layout.
   EXPECT_FALSE(simplicial.sets.rowpat_ptr.empty());
-  EXPECT_EQ(simplicial.sets.sym.l_pattern.values.size(),
-            simplicial.sets.sym.l_pattern.rowind.size());
+  EXPECT_EQ(simplicial.sets.sym.l_pattern.nnz(),
+            simplicial.sets.sym.fill_nnz);
+  EXPECT_TRUE(simplicial.sets.sym.l_pattern.values.empty());
   EXPECT_TRUE(simplicial.sets.layout.srows.empty());
   EXPECT_TRUE(simplicial.sets.updates.refs.empty());
 
@@ -825,6 +840,74 @@ TEST(Planner, GatedPlansCarryOnlyPathConsumedProducts) {
   EXPECT_FALSE(full.layout.srows.empty());
   EXPECT_EQ(full.sym.l_pattern.values.size(),
             full.sym.l_pattern.rowind.size());
+}
+
+// ------------------------------ nnz(L) overflow guard
+
+TEST(Planner, FillOverflowingTheIndexTypeFailsWithResourceExhausted) {
+  // A power-flow pattern in natural order fills catastrophically: nnz(L)
+  // is ~1e10, past index_t. Planning must refuse it from the O(n) column
+  // counts with the structured code, before any |L|-sized allocation —
+  // not end in std::bad_alloc or an out-of-bounds write.
+  const CscMatrix a = gen::power_grid(200000, 20000, 1);
+  try {
+    (void)Planner().plan_cholesky(a);
+    FAIL() << "planning an index-overflowing factor succeeded";
+  } catch (const resource_exhausted_error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
+  }
+  // Through the facade the same Status surfaces, and the Solver stays
+  // usable for a pattern that fits.
+  api::Solver solver;
+  try {
+    solver.factor(a);
+    FAIL() << "factoring an index-overflowing factor succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
+  }
+  const CscMatrix small = gen::grid2d_laplacian(10, 10);
+  solver.factor(small);
+  std::vector<value_t> x = gen::dense_rhs(small.cols(), 3);
+  solver.solve(x);
+}
+
+// ------------------------------ pattern key hashed once per miss
+
+TEST(Planner, KeyedOverloadsStampTheCallersKeyAndPlanTheSame) {
+  const CscMatrix a = gen::grid2d_laplacian(20, 20);
+  const Planner planner;
+  const core::PatternKey key = planner.cholesky_key(a);
+  const CholeskyPlan keyed = planner.plan_cholesky(a, key);
+  const CholeskyPlan hashed = planner.plan_cholesky(a);
+  EXPECT_TRUE(keyed.key == key);
+  EXPECT_TRUE(hashed.key == key);
+  EXPECT_EQ(keyed.path, hashed.path);
+  EXPECT_EQ(keyed.bytes(), hashed.bytes());
+  EXPECT_EQ(keyed.sets.layout.srows, hashed.sets.layout.srows);
+
+  const CscMatrix l = keyed.sets.pattern_of_l();
+  const std::vector<index_t> beta = {0, 7};
+  const core::PatternKey tkey = planner.trisolve_key(l, beta);
+  const TriSolvePlan tkeyed = planner.plan_trisolve(l, beta, nullptr, tkey);
+  EXPECT_TRUE(tkeyed.key == tkey);
+  EXPECT_EQ(tkeyed.sets.reach, planner.plan_trisolve(l, beta).sets.reach);
+}
+
+TEST(SolverFacade, CachedPlansCarryThePatternKeyOfTheLookup) {
+  // The facade hashes the pattern for its cache lookup and hands that key
+  // to the Planner: the cached plan's key is the lookup key.
+  const CscMatrix a = gen::grid2d_laplacian(16, 16);
+  api::SolverConfig config;
+  api::Solver solver(config);
+  solver.factor(a);
+  EXPECT_TRUE(solver.plan()->key ==
+              Planner(config.planner_config()).cholesky_key(a));
+
+  const CscMatrix l = solver.factor_csc();
+  const std::vector<index_t> beta = {1, 40};
+  api::TriangularSolver tri(l, beta, config);
+  EXPECT_TRUE(tri.plan()->key ==
+              Planner(config.planner_config()).trisolve_key(l, beta));
 }
 
 // ------------------------------ planner transpose-count regression

@@ -324,6 +324,112 @@ TEST(VerifyKillMatrix, ChainReorderDiagnosedByRacesChainOrder) {
   EXPECT_TRUE(tri_named) << tri_report.to_string();
 }
 
+// ------------------------------------------- layout-only structure checks
+//
+// A supernodal plan holds no column pattern of L: its layout's row lists
+// are the only copy of L's structure, so every supernode invariant is
+// checked on the layout against the etree and column counts. Each broken
+// invariant must surface under its own check id.
+
+bool names(const Report& report, const std::string& check) {
+  for (const auto& f : report.findings)
+    if (f.check == check) return true;
+  return false;
+}
+
+/// First supernode with at least `min_width` columns and `min_tail` rows
+/// below its diagonal block, or -1.
+index_t find_supernode(const CholeskyPlan& plan, index_t min_width,
+                       index_t min_tail) {
+  const auto& layout = plan.sets.layout;
+  for (index_t s = 0; s < layout.nsuper(); ++s)
+    if (layout.width(s) >= min_width &&
+        layout.nrows(s) - layout.width(s) >= min_tail)
+      return s;
+  return -1;
+}
+
+TEST(VerifyStructure, LayoutAloneCatchesEveryBrokenSupernodeInvariant) {
+  const CholeskyPlan base = supernodal_plan();
+  ASSERT_EQ(base.path, ExecutionPath::Supernodal);
+  ASSERT_TRUE(base.sets.sym.l_pattern.colptr.empty());
+  ASSERT_TRUE(verify::verify_plan(base).ok());
+  const index_t s = find_supernode(base, 3, 2);
+  ASSERT_GE(s, 0);
+  const index_t c1 = base.sets.layout.sn.start[s];
+  const index_t c2 = base.sets.layout.sn.start[s + 1];
+  const index_t w = c2 - c1;
+  const index_t b = base.sets.layout.srow_ptr[s];
+
+  {  // diagonal block not first
+    CholeskyPlan m = base;
+    std::swap(m.sets.layout.srows[b], m.sets.layout.srows[b + 1]);
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.layout")) << r.to_string();
+  }
+  {  // rows below the block not ascending
+    CholeskyPlan m = base;
+    std::swap(m.sets.layout.srows[b + w], m.sets.layout.srows[b + w + 1]);
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.layout")) << r.to_string();
+  }
+  {  // a column count disagrees with its suffix (sum kept, so only the
+     // supernode invariant can see it)
+    CholeskyPlan m = base;
+    ++m.sets.sym.colcount[c1 + 1];
+    --m.sets.sym.colcount[c1 + 2];
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.supernode-invariant")) << r.to_string();
+  }
+  {  // the etree skips a column inside the supernode
+    CholeskyPlan m = base;
+    m.sets.sym.parent[c1] = c1 + 2;
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.supernode-invariant")) << r.to_string();
+  }
+  {  // the etree leaves through the wrong below-block row
+    CholeskyPlan m = base;
+    m.sets.sym.parent[c2 - 1] = m.sets.layout.srows[b + w + 1];
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.supernode-invariant")) << r.to_string();
+  }
+  {  // nnz(L) no longer the sum of the column counts
+    CholeskyPlan m = base;
+    ++m.sets.sym.fill_nnz;
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.symbolic")) << r.to_string();
+  }
+  {  // no copy of L's structure at all
+    CholeskyPlan m = base;
+    m.sets.layout = {};
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.layout")) << r.to_string();
+  }
+}
+
+TEST(VerifyStructure, SimplicialPatternIsTiedToTheEtree) {
+  const CholeskyPlan base = simplicial_plan();
+  ASSERT_EQ(base.path, ExecutionPath::Simplicial);
+  ASSERT_TRUE(base.sets.sym.l_pattern.values.empty());
+  ASSERT_TRUE(verify::verify_plan(base).ok());
+  const CscMatrix& lp = base.sets.sym.l_pattern;
+  index_t j = 0;
+  while (j < lp.cols() && lp.col_end(j) - lp.col_begin(j) < 3) ++j;
+  ASSERT_LT(j, lp.cols());
+  {  // parent is not the first row below the diagonal
+    CholeskyPlan m = base;
+    m.sets.sym.parent[j] = lp.rowind[lp.col_begin(j) + 2];
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.etree")) << r.to_string();
+  }
+  {  // the column pattern is the simplicial path's only copy
+    CholeskyPlan m = base;
+    m.sets.sym.l_pattern = CscMatrix{};
+    const Report r = verify::verify_plan(m);
+    EXPECT_TRUE(names(r, "structure.l-pattern")) << r.to_string();
+  }
+}
+
 // ------------------------------------------------------ clean-pass sweep
 
 std::vector<std::pair<const char*, CscMatrix>> suite() {
@@ -379,7 +485,7 @@ TEST(VerifyCleanSweep, EveryGeneratorSuitePlanPasses) {
       EXPECT_GT(creport.checks, 0);
 
       // Trisolve plans over the factor pattern, sparse and dense RHS.
-      const CscMatrix l = cplan.sets.sym.l_pattern;
+      const CscMatrix l = cplan.sets.pattern_of_l();
       const std::vector<index_t> sparse = {0, a.cols() / 2};
       const std::vector<index_t> dense = dense_beta(l.cols());
       for (const auto& beta : {sparse, dense}) {
